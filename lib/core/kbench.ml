@@ -61,8 +61,11 @@ let rel_err ~ref_out ~tiled_out =
 
 (* One old-vs-new measurement. [f] must return a freshly computed output
    tensor (or [None]); it runs once for warmup, then [reps] timed times,
-   under each mode, inside a [domains]-lane pool. *)
-let compare_modes ~name ~domains ~reps f =
+   under each mode, inside a [domains]-lane pool. The old side is the
+   reference kernel with the arena off, the new side the OCaml tiled kernel
+   with it on, unless [kernels] names another (old, new) kernel pair, both
+   then with the arena on. *)
+let compare_modes ?kernels ~name ~domains ~reps f =
   Dpool.with_domains domains (fun () ->
       let run mode ws =
         with_mode mode ws (fun () ->
@@ -73,8 +76,13 @@ let compare_modes ~name ~domains ~reps f =
             let t = time ~reps thunk in
             (t, !out))
       in
-      let ref_s, ref_out = run Blas.Reference false in
-      let tiled_s, tiled_out = run Blas.Tiled true in
+      let (old_k, old_ws), new_k =
+        match kernels with
+        | Some (o, n) -> ((o, true), n)
+        | None -> ((Blas.Reference, false), Blas.Tiled)
+      in
+      let ref_s, ref_out = run old_k old_ws in
+      let tiled_s, tiled_out = run new_k true in
       let max_rel_err =
         match (ref_out, tiled_out) with
         | Some a, Some b -> Some (rel_err ~ref_out:a ~tiled_out:b)
@@ -154,14 +162,15 @@ let train_step_bench ~fast ~domains =
 (* --- int8 quantized-path benchmarks ---
 
    Unlike compare_modes (old float path vs new float path), these compare
-   the BEST float configuration (tiled kernel + workspace arena) against the
-   int8 quantized path, so the reported speedup is the marginal win of
-   quantization over the production float32 setup — never against a
-   strawman. [ref_s] holds the float32 tiled time, [tiled_s] the int8 time,
-   and [max_rel_err] the float-vs-int8 output divergence. *)
+   the BEST float configuration (fastest kernel on this host + workspace
+   arena) against the int8 quantized path on the same kernel, so the
+   reported speedup is the marginal win of quantization over the production
+   float32 setup — never against a strawman. [ref_s] holds the float32
+   time, [tiled_s] the int8 time, and [max_rel_err] the float-vs-int8
+   output divergence. *)
 let compare_int8 ~name ~domains ~reps ~fref ~fq =
   Dpool.with_domains domains (fun () ->
-      with_mode Blas.Tiled true (fun () ->
+      with_mode (Blas.best_kernel ()) true (fun () ->
           let run f =
             let out = ref None in
             let thunk () = out := f () in
@@ -245,6 +254,25 @@ let int8_unet_bench ~fast ~domains ~reps =
                (Cbgan.generator_forward model ~rng ~training:false ~cache_params:cp x)))
         ~fq:(fun () -> Some (Qgen.forward q ~cache_params:cp x)))
 
+(* Kernel rows: the OCaml tiled kernels against the SIMD ones on the same
+   serving-shape forwards, float32 teacher and its int8 compile. The two
+   kernels are bit-identical, so [max_rel_err] must be exactly 0. *)
+let simd_unet_bench ~fast ~domains ~reps =
+  let _, _, model, _, _, x, cp = int8_unet_parts ~fast in
+  with_wide (fun () ->
+      compare_modes ~kernels:(Blas.Tiled, Blas.best_kernel ()) ~name:"unet_fwd_simd" ~domains
+        ~reps (fun () ->
+          let rng = Prng.create 0 in
+          Some
+            (Value.value
+               (Cbgan.generator_forward model ~rng ~training:false ~cache_params:cp x))))
+
+let simd_int8_unet_bench ~fast ~domains ~reps =
+  let _, _, _, q, _, x, cp = int8_unet_parts ~fast in
+  with_wide (fun () ->
+      compare_modes ~kernels:(Blas.Tiled, Blas.best_kernel ()) ~name:"int8_unet_fwd_simd"
+        ~domains ~reps (fun () -> Some (Qgen.forward q ~cache_params:cp x)))
+
 (* Fig-14 accuracy row: the same forward pair scored as hit rates, with
    [max_rel_err] carrying the absolute float-vs-int8 hit-rate delta. CI
    holds this under a committed bound so a quantization accuracy regression
@@ -259,7 +287,7 @@ let int8_fig14_bench ~fast ~domains =
   in
   with_wide (fun () ->
       Dpool.with_domains domains (fun () ->
-          with_mode Blas.Tiled true (fun () ->
+          with_mode (Blas.best_kernel ()) true (fun () ->
               let t0 = Unix.gettimeofday () in
               let yf =
                 let rng = Prng.create 0 in
@@ -284,7 +312,7 @@ let int8_fig14_bench ~fast ~domains =
 (* --- distilled-student benchmarks ---
 
    Same honest-reference discipline as the int8 rows: the reference side is
-   the float32 TEACHER forward in its best configuration (tiled kernels,
+   the float32 TEACHER forward in its best configuration (fastest kernels,
    workspace arena, wide-batch conv), the measured side the half-depth/
    half-width student — float32 or through its int8 compilation, so the
    student and quantization wins compose multiplicatively in one row. *)
@@ -338,7 +366,7 @@ let student_fig14_bench ~fast ~domains =
   in
   with_wide (fun () ->
       Dpool.with_domains domains (fun () ->
-          with_mode Blas.Tiled true (fun () ->
+          with_mode (Blas.best_kernel ()) true (fun () ->
               let t0 = Unix.gettimeofday () in
               let yt = Option.get (teacher_fwd teacher ~cache_params:cp x ()) in
               let tf = Unix.gettimeofday () -. t0 in
@@ -414,6 +442,9 @@ let run ?(fast = Sys.getenv_opt "CACHEBOX_FAST" <> None) ?(log = fun _ -> ()) ()
         ("student_unet_fwd d4", fun () -> student_unet_bench ~fast ~domains:4 ~reps);
         ("student_int8_fwd d1", fun () -> student_int8_bench ~fast ~domains:1 ~reps);
         ("student_fig14_delta", fun () -> student_fig14_bench ~fast ~domains:1);
+        ("unet_fwd_simd d1", fun () -> simd_unet_bench ~fast ~domains:1 ~reps);
+        ("unet_fwd_simd d2", fun () -> simd_unet_bench ~fast ~domains:2 ~reps);
+        ("int8_unet_fwd_simd d1", fun () -> simd_int8_unet_bench ~fast ~domains:1 ~reps);
       ]
   in
   List.map

@@ -1,6 +1,7 @@
 (** Kernel benchmarks: reference (pre-tiling two-row GEMM, workspace arena
-    off) vs production (tiled+packed GEMM, arena on), same process, same
-    machine.
+    off) vs tiled+packed OCaml GEMM (arena on), OCaml tiled vs SIMD kernels,
+    and float32 vs int8/student forwards on the fastest kernels; same
+    process, same machine.
 
     This is the code path behind both [bench/main.exe -- kernels] and
     [cachebox bench]; CI compares the measured {!result.speedup} values
@@ -24,7 +25,9 @@ val run : ?fast:bool -> ?log:(string -> unit) -> unit -> result list
     training step (1/2/4 domains), the int8 quantized rows, and the
     distilled-student rows ([student_unet_fwd], [student_int8_fwd] — both
     against the float32 teacher forward — and the [student_fig14_delta]
-    accuracy row). [fast] (default: [CACHEBOX_FAST] set) shrinks shapes for
+    accuracy row), and the kernel rows [unet_fwd_simd] (1/2 domains) and
+    [int8_unet_fwd_simd]: OCaml tiled vs SIMD teacher and int8 forwards,
+    whose [max_rel_err] is 0 by construction. [fast] (default: [CACHEBOX_FAST] set) shrinks shapes for
     smoke runs; [log] receives a progress line per benchmark. *)
 
 val meta_json : unit -> string

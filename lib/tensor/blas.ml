@@ -20,22 +20,33 @@ let transpose t =
 
 (* --- kernel selection ---
 
-   [Tiled] is the cache-blocked, panel-packed production kernel. [Reference]
-   is the previous two-row-blocked kernel (with materialised transposes and
-   no packing), kept callable so the kernels benchmark can measure the
-   speedup honestly on the same machine and so a regression can be bisected
-   at runtime (CACHEBOX_KERNEL=ref). Both satisfy the same contract:
-   bit-identical results at every domain count. *)
+   [Simd] runs the tiled float32 GEMM and the int8 GEMM through the
+   AVX2+FMA C microkernels in blas_stubs.c; it is the default wherever the
+   CPU supports them. [Tiled] is the same cache-blocked, panel-packed
+   algorithm in OCaml: what hosts without AVX2+FMA run, and the oracle the
+   SIMD kernels are tested against bit for bit (CACHEBOX_KERNEL=scalar).
+   [Reference] is the previous two-row-blocked kernel (with materialised
+   transposes and no packing), kept callable so the kernels benchmark can
+   measure the speedup honestly on the same machine and so a regression can
+   be bisected at runtime (CACHEBOX_KERNEL=ref). All three satisfy the same
+   contract: bit-identical results at every domain count; [Simd] and
+   [Tiled] are moreover bit-identical to each other. *)
 
-type kernel_impl = Reference | Tiled
+type kernel_impl = Reference | Tiled | Simd
+
+external simd_supported : unit -> bool = "cb_simd_supported" [@@noalloc]
+
+let simd_ok = simd_supported ()
+let best_kernel () = if simd_ok then Simd else Tiled
 
 let kernel_of_env () =
   match Sys.getenv_opt "CACHEBOX_KERNEL" with
   | Some ("ref" | "reference" | "naive") -> Reference
-  | Some _ | None -> Tiled
+  | Some ("scalar" | "tiled") -> Tiled
+  | Some _ | None -> best_kernel ()
 
 let selected = ref (kernel_of_env ())
-let set_kernel k = selected := k
+let set_kernel k = selected := if k = Simd then best_kernel () else k
 let kernel () = !selected
 
 (* Minimum multiply-add count before a kernel is worth packing panels or
@@ -121,6 +132,7 @@ let nr = 4
 let kc_blk = 256
 let mc_blk = 64
 let nc_blk = 256
+
 
 (* Pack op(A)[i0 .. i0+mcur-1, p0 .. p0+kcur-1] as MR-tall k-major panels
    with [alpha] folded in; rows past [mcur] pack as zero. [ac] is the stored
@@ -280,7 +292,28 @@ let gemm_tile_rows ~trans_a ~trans_b ~alpha ~ad ~ac ~bd ~bc ~cd ~k ~n ~row_lo ~r
     jc := !jc + ncur
   done
 
-let gemm_tiled ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n =
+(* One lane of the SIMD kernel: rows [row_lo .. row_hi] of C over the same
+   block grid. [ap]/[bp] are scratch for MC x KC packed doubles and KC x NC
+   packed floats. *)
+external simd_sgemm_lane :
+  bool ->
+  bool ->
+  (float[@unboxed]) ->
+  Tensor.buffer ->
+  (int[@untagged]) ->
+  Tensor.buffer ->
+  (int[@untagged]) ->
+  Tensor.buffer ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Tensor.buffer ->
+  Tensor.buffer ->
+  unit = "cb_sgemm_lane_byte" "cb_sgemm_lane"
+[@@noalloc]
+
+let gemm_tiled ~simd ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n =
   let ad = a.Tensor.data and bd = b.Tensor.data and cd = c.Tensor.data in
   let ac = Tensor.dim a 1 and bc = Tensor.dim b 1 in
   (* Row ownership in MR-aligned panels: every lane runs the same jc/pc
@@ -289,9 +322,15 @@ let gemm_tiled ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n =
   let npanels = (m + mr - 1) / mr in
   Dpool.parallel_for npanels (fun plo phi ->
       let row_lo = plo * mr and row_hi = min (m - 1) ((phi * mr) + mr - 1) in
-      Workspace.with_buf2 [| mc_blk * kc_blk |] [| nc_blk * kc_blk |] (fun apt bpt ->
-          gemm_tile_rows ~trans_a ~trans_b ~alpha ~ad ~ac ~bd ~bc ~cd ~k ~n ~row_lo
-            ~row_hi ~ap:apt.Tensor.data ~bp:bpt.Tensor.data))
+      if simd then
+        (* Packed A holds doubles: two float32 slots per element. *)
+        Workspace.with_buf2 [| 2 * mc_blk * kc_blk |] [| nc_blk * kc_blk |] (fun apt bpt ->
+            simd_sgemm_lane trans_a trans_b alpha ad ac bd bc cd k n row_lo row_hi
+              apt.Tensor.data bpt.Tensor.data)
+      else
+        Workspace.with_buf2 [| mc_blk * kc_blk |] [| nc_blk * kc_blk |] (fun apt bpt ->
+            gemm_tile_rows ~trans_a ~trans_b ~alpha ~ad ~ac ~bd ~bc ~cd ~k ~n ~row_lo
+              ~row_hi ~ap:apt.Tensor.data ~bp:bpt.Tensor.data))
 
 (* Materialise op(t) (dims rows x cols) into workspace scratch when a
    transpose is requested; the small path's row kernel wants plain NN
@@ -322,13 +361,13 @@ let gemm ?(trans_a = false) ?(trans_b = false) ~alpha ~a ~b ~beta c =
       let a = if trans_a then transpose a else a in
       let b = if trans_b then transpose b else b in
       gemm_nn_ref ~alpha ~a ~b ~c ~m ~k ~n
-    | Tiled ->
+    | (Tiled | Simd) as kern ->
       if m * n * k < !small_cutoff then
         with_op ~trans:trans_a a ~rows:m ~cols:k (fun a ->
             with_op ~trans:trans_b b ~rows:k ~cols:n (fun b ->
                 gemm_rows ~alpha ~ad:a.Tensor.data ~bd:b.Tensor.data ~cd:c.Tensor.data
                   ~k ~n ~row_lo:0 ~row_hi:(m - 1)))
-      else gemm_tiled ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n
+      else gemm_tiled ~simd:(kern = Simd) ~trans_a ~trans_b ~alpha ~a ~b ~c ~m ~k ~n
 
 let matmul a b =
   let m = Tensor.dim a 0 and n = Tensor.dim b 1 in
@@ -673,6 +712,27 @@ module Int8 = struct
       jc := !jc + ncur
     done
 
+  (* One lane of the SIMD int8 kernel: MR panels [pan_lo .. pan_hi] of the
+     prepacked weight; [bias] is read only when [has_bias]. *)
+  external simd_qgemm_lane :
+    (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+    (int[@untagged]) ->
+    (int[@untagged]) ->
+    float array ->
+    float array ->
+    bool ->
+    (float[@unboxed]) ->
+    bool ->
+    Tensor.buffer ->
+    (int[@untagged]) ->
+    Tensor.buffer ->
+    (int[@untagged]) ->
+    (int[@untagged]) ->
+    (int[@untagged]) ->
+    Tensor.buffer ->
+    unit = "cb_qgemm_lane_byte" "cb_qgemm_lane"
+  [@@noalloc]
+
   let gemm ?(trans_b = false) ~a:qw ~act_scale ~b c =
     check_2d "Blas.Int8.gemm b" b;
     check_2d "Blas.Int8.gemm c" c;
@@ -687,9 +747,20 @@ module Int8 = struct
     let bd = b.Tensor.data and cd = c.Tensor.data in
     let bc = Tensor.dim b 1 in
     let npan = npanels qw.qm in
-    let words = 2 * kc_blk * ((nc_blk + nr - 1) / nr) in
-    Dpool.parallel_for npan (fun plo phi ->
-        Workspace.with_ibuf2 words nc_blk (fun bw bsums ->
-            gemm_lane ~qw ~act_scale ~trans_b ~bd ~bc ~cd ~n ~pan_lo:plo ~pan_hi:phi
-              ~bw ~bsums))
+    if !selected = Simd then begin
+      let bias, has_bias =
+        match qw.qbias with Some bs -> (bs, true) | None -> (qw.qscales, false)
+      in
+      Dpool.parallel_for npan (fun plo phi ->
+          (* KC x NC int16 quantized B panels: two per float32 slot. *)
+          Workspace.with_buf [| kc_blk * nc_blk / 2 |] (fun bq ->
+              simd_qgemm_lane qw.qpack qw.qm qw.qk qw.qscales bias has_bias act_scale
+                trans_b bd bc cd n plo phi bq.Tensor.data))
+    end
+    else
+      let words = 2 * kc_blk * ((nc_blk + nr - 1) / nr) in
+      Dpool.parallel_for npan (fun plo phi ->
+          Workspace.with_ibuf2 words nc_blk (fun bw bsums ->
+              gemm_lane ~qw ~act_scale ~trans_b ~bd ~bc ~cd ~n ~pan_lo:plo ~pan_hi:phi
+                ~bw ~bsums))
 end

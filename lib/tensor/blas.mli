@@ -14,17 +14,27 @@
     Determinism contract: results are bit-identical for every domain count.
     The pool partitions rows of C in MR-aligned panels and every element's
     accumulation order depends only on the KC block grid, never on lane
-    boundaries. *)
+    boundaries. The same order makes the SIMD and OCaml tiled kernels
+    bit-identical to each other. *)
 
 type kernel_impl =
   | Reference  (** previous two-row-blocked kernel, kept for benchmarking *)
-  | Tiled  (** cache-blocked, packed production kernel (default) *)
+  | Tiled
+      (** cache-blocked, packed kernels in OCaml: the fallback on hosts
+          without AVX2+FMA, and the oracle for [Simd] *)
+  | Simd
+      (** the same blocking through AVX2+FMA C microkernels, float32 and
+          int8; bit-identical to [Tiled] (default where supported) *)
 
 val set_kernel : kernel_impl -> unit
 val kernel : unit -> kernel_impl
-(** Kernel selection; defaults to [Tiled], or [Reference] when
-    [CACHEBOX_KERNEL=ref] is set. Both implementations satisfy the full
-    {!gemm} contract. *)
+(** Kernel selection; defaults to {!best_kernel}, [Tiled] when
+    [CACHEBOX_KERNEL=scalar] is set, [Reference] when [CACHEBOX_KERNEL=ref]
+    is. All implementations satisfy the full {!gemm} contract.
+    [set_kernel Simd] on a host without AVX2+FMA selects [Tiled]. *)
+
+val best_kernel : unit -> kernel_impl
+(** [Simd] when this CPU supports AVX2 and FMA, else [Tiled]. *)
 
 val set_small_cutoff : int -> unit
 (** Multiply-add count below which {!gemm} uses the serial row kernel
@@ -71,7 +81,8 @@ val gemv : a:Tensor.t -> x:Tensor.t -> Tensor.t
     with [weight_scale * act_scale] and fuses the optional per-row bias.
 
     Determinism contract: identical to the float kernel — bit-identical
-    results at every domain count. *)
+    results at every domain count, and between the [Simd] kernel (exact
+    int32 dots through [vpmaddwd]) and the OCaml one. *)
 module Int8 : sig
   type qweight
   (** A quantized, prepacked weight matrix (plus scales, per-block row

@@ -9,6 +9,7 @@ let () =
       Test_dpool.suite;
       Test_blas.suite;
       Test_blas_tiled.suite;
+      Test_blas_simd.suite;
       Test_workspace.suite;
       Test_parallel.suite;
       Test_gradcheck.suite;
